@@ -88,6 +88,7 @@ fuzz-short: build
 	$(GO) test -run '^$$' -fuzz FuzzServeHTTP -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzServeBinaryFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzHostStateDifferential -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzMaintainerDifferential -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzLoadSNAP -fuzztime $(FUZZTIME) ./internal/dataset
 
 # chaos is the full fault-injection acceptance run: a 50-graph pool

@@ -8,6 +8,7 @@
 package dkcore_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -470,4 +471,40 @@ func TestServeQPSFloor(t *testing.T) {
 	}
 	t.Logf("epoch %.0f qps vs rwmutex %.0f qps at %d readers: %.1fx",
 		epoch.QPS, mutex.QPS, epoch.Readers, epoch.Speedup)
+}
+
+// BenchmarkSessionPublish times a one-edge insert+delete round trip
+// through a Session on BA(n, 3): two blocking mutations, each absorbed
+// and published as its own epoch. Run with -benchmem: B/op shows
+// whether a publish copies the whole edge set. Two edges per graph:
+// "pendant" hangs a new node off node 0, so the mutation itself is O(1)
+// and the time is the publish; "plateau" joins node 1 to node n-1 on
+// BA's all-coreness-3 plateau, where the insert's candidate walk — not
+// the publish — dominates.
+func BenchmarkSessionPublish(b *testing.B) {
+	for _, n := range []int{20_000, 200_000} {
+		g := dkcore.GenerateBarabasiAlbert(n, 3, 1)
+		sess, err := dkcore.NewSession(context.Background(), g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range []struct {
+			name string
+			u, v int
+		}{{"pendant", 0, n}, {"plateau", 1, n - 1}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, e.name), func(b *testing.B) {
+				if sess.HasEdge(e.u, e.v) {
+					b.Fatalf("edge {%d, %d} already present", e.u, e.v)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !sess.InsertEdge(e.u, e.v) || !sess.DeleteEdge(e.u, e.v) {
+						b.Fatalf("round trip %d did not change the graph", i)
+					}
+				}
+			})
+		}
+		sess.Close()
+	}
 }

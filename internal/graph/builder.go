@@ -111,6 +111,25 @@ func (b *Builder) Build() *Graph {
 	return &Graph{offsets: offsets, adj: adj}
 }
 
+// FromSortedLists builds a graph whose node u has the neighbors lists[u].
+// Each list must already be sorted ascending and free of duplicates and
+// self-loops, and the lists must be symmetric (v is in lists[u] exactly
+// when u is in lists[v]) — the invariants of a Graph's own adjacency.
+// The lists are copied into CSR form in one pass, with no sort and no
+// check, so the result never aliases them; input that may break the
+// invariants belongs in a Builder instead.
+func FromSortedLists(lists [][]int) *Graph {
+	offsets := make([]int, len(lists)+1)
+	for u, ns := range lists {
+		offsets[u+1] = offsets[u] + len(ns)
+	}
+	adj := make([]int, offsets[len(lists)])
+	for u, ns := range lists {
+		copy(adj[offsets[u]:], ns)
+	}
+	return &Graph{offsets: offsets, adj: adj}
+}
+
 // FromEdges builds a graph with n nodes from the given undirected edge list.
 func FromEdges(n int, edges [][2]int) *Graph {
 	b := NewBuilder(n)

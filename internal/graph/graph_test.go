@@ -222,3 +222,30 @@ func TestFromEdges(t *testing.T) {
 		}
 	}
 }
+
+func TestFromSortedListsMatchesBuilder(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		g := randomGraph(30, 90, seed)
+		lists := make([][]int, g.NumNodes())
+		for u := range lists {
+			lists[u] = append([]int(nil), g.Neighbors(u)...)
+		}
+		h := FromSortedLists(lists)
+		if !g.Equal(h) {
+			t.Fatalf("seed %d: FromSortedLists differs from the Builder's graph", seed)
+		}
+		// The result owns its storage: scribbling on the input lists
+		// leaves it intact.
+		for _, ns := range lists {
+			for i := range ns {
+				ns[i] = 0
+			}
+		}
+		if !g.Equal(h) {
+			t.Fatalf("seed %d: FromSortedLists aliases its input", seed)
+		}
+	}
+	if empty := FromSortedLists(nil); empty.NumNodes() != 0 || empty.NumEdges() != 0 {
+		t.Fatalf("empty lists: %d nodes %d edges", empty.NumNodes(), empty.NumEdges())
+	}
+}

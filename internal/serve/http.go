@@ -269,7 +269,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad wait parameter")
 		return
 	}
-	res, err := s.applyMutations(events, wait)
+	res, err := s.applyMutations(r.Context(), events, wait)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, dkcore.ErrQueueFull) {

@@ -9,6 +9,7 @@ package serve
 // FuzzServeBinaryFrame target).
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -206,7 +207,7 @@ func (s *Server) handleFrame(conn frameSender, typ uint8, payload []byte) error 
 		if err != nil {
 			return s.sendError(conn, err.Error())
 		}
-		res, err := s.applyMutations(events, wait)
+		res, err := s.applyMutations(context.TODO(), events, wait)
 		if err != nil {
 			return s.sendError(conn, err.Error())
 		}

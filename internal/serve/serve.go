@@ -215,18 +215,24 @@ type MutateResult struct {
 }
 
 // applyMutations runs a mutation batch against the session. In wait
-// mode every event is applied synchronously and the changed count is
-// exact; otherwise events are enqueued (blocking-free ingest) and a full
-// queue aborts with ErrQueueFull after reporting how many were accepted.
-func (s *Server) applyMutations(events []dkcore.EdgeEvent, wait bool) (MutateResult, error) {
+// mode the batch is one ApplyEvents submission — absorbed into a single
+// epoch when it fits in MaxBatch — and the changed count is exact;
+// otherwise events are enqueued (blocking-free ingest) and a full queue
+// aborts with ErrQueueFull after reporting how many were accepted. Both
+// modes fail with ErrSessionClosed on a closed session.
+func (s *Server) applyMutations(ctx context.Context, events []dkcore.EdgeEvent, wait bool) (MutateResult, error) {
 	res := MutateResult{Changed: -1}
 	if wait {
-		res.Changed = 0
-		for _, ev := range events {
-			if s.sess.ApplyEvent(ev) {
+		changed, err := s.sess.ApplyEvents(ctx, events)
+		if err != nil {
+			res.Epoch = s.sess.CurrentEpoch().Seq()
+			return res, err
+		}
+		res.Applied, res.Changed = len(events), 0
+		for _, ok := range changed {
+			if ok {
 				res.Changed++
 			}
-			res.Applied++
 		}
 	} else {
 		for _, ev := range events {

@@ -373,6 +373,12 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
+	// One round trip proves the server accepted the connection; without
+	// it Shutdown can close the listener first and find no client to
+	// wait for.
+	if _, _, err := idle.Degeneracy(); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -527,5 +533,121 @@ func TestConcurrentServeSmoke(t *testing.T) {
 
 	if err := sess.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mutateFrontEnds runs one Mutate request against a fresh server over
+// sess through each front end, so a test states its expectation once and
+// checks HTTP and the binary protocol alike. The returned error carries
+// the server's message for a refused request.
+var mutateFrontEnds = []struct {
+	name   string
+	mutate func(t *testing.T, sess *dkcore.Session, events []dkcore.EdgeEvent, wait bool) (MutateResult, error)
+}{
+	{"http", func(t *testing.T, sess *dkcore.Session, events []dkcore.EdgeEvent, wait bool) (MutateResult, error) {
+		srv := httptest.NewServer(New(sess).Handler())
+		defer srv.Close()
+		var body strings.Builder
+		body.WriteString(`{"events": [`)
+		for i, ev := range events {
+			if i > 0 {
+				body.WriteString(", ")
+			}
+			op := "insert"
+			if ev.Op == dkcore.EdgeDelete {
+				op = "delete"
+			}
+			fmt.Fprintf(&body, `{"op": %q, "u": %d, "v": %d}`, op, ev.U, ev.V)
+		}
+		body.WriteString(`]}`)
+		url := srv.URL + "/mutate"
+		if wait {
+			url += "?wait=1"
+		}
+		resp, err := srv.Client().Post(url, "application/json", strings.NewReader(body.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			MutateResult
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return out.MutateResult, fmt.Errorf("status %d: %s", resp.StatusCode, out.Error)
+		}
+		return out.MutateResult, nil
+	}},
+	{"binary", func(t *testing.T, sess *dkcore.Session, events []dkcore.EdgeEvent, wait bool) (MutateResult, error) {
+		s := New(sess)
+		addr, err := s.ListenBinary("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Shutdown(context.Background())
+		c, err := DialClient(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		return c.Mutate(events, wait)
+	}},
+}
+
+// TestMutateWaitOneEpochPerFrame: on an idle session a wait-mode Mutate
+// frame of at most MaxBatch events is one submission — it publishes
+// exactly one epoch — and still reports the exact changed count (the
+// duplicate insert and the repeated delete do not count), with the
+// response epoch covering every event.
+func TestMutateWaitOneEpochPerFrame(t *testing.T) {
+	frame := []dkcore.EdgeEvent{
+		{Op: dkcore.EdgeInsert, U: 0, V: 7},
+		{Op: dkcore.EdgeInsert, U: 7, V: 0}, // duplicate
+		{Op: dkcore.EdgeInsert, U: 0, V: 4},
+		{Op: dkcore.EdgeDelete, U: 2, V: 3},
+		{Op: dkcore.EdgeDelete, U: 3, V: 2}, // already gone
+	}
+	for _, fe := range mutateFrontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			sess := testSession(t, pathGraph(t, 8))
+			before := sess.Stats()
+			res, err := fe.mutate(t, sess, frame, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := sess.Stats()
+			if d := after.Batches - before.Batches; d != 1 {
+				t.Fatalf("frame of %d events published %d epochs, want 1", len(frame), d)
+			}
+			if res.Applied != len(frame) || res.Changed != 3 || res.Epoch != after.Epoch {
+				t.Fatalf("mutate result %+v, want applied=%d changed=3 epoch=%d", res, len(frame), after.Epoch)
+			}
+			if !sess.HasEdge(0, 7) || !sess.HasEdge(0, 4) || sess.HasEdge(2, 3) {
+				t.Fatalf("frame's edges not all visible in the response epoch")
+			}
+		})
+	}
+}
+
+// TestMutateClosedSession: both Mutate modes refuse a closed session
+// with ErrSessionClosed instead of reporting the events applied.
+func TestMutateClosedSession(t *testing.T) {
+	for _, fe := range mutateFrontEnds {
+		for _, wait := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/wait=%v", fe.name, wait), func(t *testing.T) {
+				sess := testSession(t, pathGraph(t, 4))
+				sess.Close()
+				res, err := fe.mutate(t, sess, []dkcore.EdgeEvent{{Op: dkcore.EdgeInsert, U: 0, V: 3}}, wait)
+				if err == nil || !strings.Contains(err.Error(), dkcore.ErrSessionClosed.Error()) {
+					t.Fatalf("mutate on closed session: %+v, %v; want %v", res, err, dkcore.ErrSessionClosed)
+				}
+				if res.Applied != 0 || sess.HasEdge(0, 3) {
+					t.Fatalf("closed session reported or took the event: %+v", res)
+				}
+			})
+		}
 	}
 }

@@ -43,12 +43,19 @@ import (
 // isolated (coreness-0) nodes, so memory is proportional to the largest
 // node ID mentioned — densify sparse external IDs before feeding them
 // in (as cmd/kcore-stream does). A Maintainer is not safe for concurrent
-// use; wrap it in a lock or use the live runtime's Mutable for a
-// concurrent deployment.
+// use; wrap it in a lock, use the live runtime's Mutable for a
+// concurrent deployment, or hand readers Frozen views (see Freeze).
 type Maintainer struct {
-	adj  [][]int // sorted neighbor lists, owned by the Maintainer
+	adj  [][]int // sorted neighbor lists, possibly shared with Frozen views
 	core []int   // exact coreness under the current edge set
 	m    int     // number of undirected edges
+
+	// Copy-on-write ownership of the neighbor lists: adj[u] may be
+	// written in place only while owner[u] == gen. Freeze bumps gen,
+	// which hands every current list to the returned view; the first
+	// later write to a list copies it and stamps it owned again.
+	owner []int
+	gen   int
 
 	// supp[u] is the number of neighbors v with core[v] >= core[u] —
 	// the same support counter the distributed engines maintain per
@@ -86,13 +93,14 @@ func NewMaintainer(g *graph.Graph) *Maintainer {
 func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 	n := g.NumNodes()
 	mt := &Maintainer{
-		adj:  make([][]int, n),
-		core: coreness,
-		m:    g.NumEdges(),
-		supp: make([]int, n),
-		mark: make([]int, n),
-		cand: make([]int, n),
-		cnt:  make([]int, n),
+		adj:   make([][]int, n),
+		core:  coreness,
+		m:     g.NumEdges(),
+		supp:  make([]int, n),
+		owner: make([]int, n),
+		mark:  make([]int, n),
+		cand:  make([]int, n),
+		cnt:   make([]int, n),
 	}
 	for u := 0; u < n; u++ {
 		ns := g.Neighbors(u)
@@ -183,27 +191,67 @@ func (mt *Maintainer) MaxCoreness() int {
 }
 
 // HasEdge reports whether the undirected edge {u, v} is present.
-func (mt *Maintainer) HasEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= len(mt.adj) || v >= len(mt.adj) {
+func (mt *Maintainer) HasEdge(u, v int) bool { return hasEdge(mt.adj, u, v) }
+
+// hasEdge binary-searches u's sorted list for v.
+func hasEdge(adj [][]int, u, v int) bool {
+	if u < 0 || v < 0 || u >= len(adj) || v >= len(adj) {
 		return false
 	}
-	ns := mt.adj[u]
+	ns := adj[u]
 	i := sort.SearchInts(ns, v)
 	return i < len(ns) && ns[i] == v
 }
 
-// Graph materializes the current edge set as an immutable CSR snapshot.
-func (mt *Maintainer) Graph() *graph.Graph {
-	b := graph.NewBuilder(len(mt.core))
-	for u, ns := range mt.adj {
-		for _, v := range ns {
-			if u < v {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build()
+// Graph materializes the current edge set as an immutable CSR snapshot:
+// one copy of the already-sorted neighbor lists, O(n+m) with no sort.
+func (mt *Maintainer) Graph() *graph.Graph { return graph.FromSortedLists(mt.adj) }
+
+// Freeze returns a view of the current edge set that later mutations
+// never change. It copies only the n list headers: the neighbor lists
+// themselves are shared with the view, and the Maintainer copies a
+// shared list before its first write after the freeze — so a mutation
+// batch between two Freeze calls copies just the lists it touches.
+func (mt *Maintainer) Freeze() Frozen {
+	mt.gen++
+	adj := make([][]int, len(mt.adj))
+	copy(adj, mt.adj)
+	return Frozen{adj: adj, m: mt.m}
 }
+
+// own makes u's neighbor list writable in place, first copying it (with
+// room for extra more neighbors) if a Frozen view may share it.
+func (mt *Maintainer) own(u, extra int) {
+	if mt.owner[u] == mt.gen {
+		return
+	}
+	ns := mt.adj[u]
+	mt.adj[u] = append(make([]int, 0, len(ns)+extra), ns...)
+	mt.owner[u] = mt.gen
+}
+
+// Frozen is an immutable view of a Maintainer's edge set as of one
+// Freeze call. It shares the neighbor lists the Maintainer had then
+// (copy-on-write keeps them unchanged), so taking one is O(n) whatever
+// the edge count. A Frozen is safe for concurrent use, including while
+// its Maintainer keeps mutating.
+type Frozen struct {
+	adj [][]int
+	m   int
+}
+
+// NumNodes returns the view's node count.
+func (f Frozen) NumNodes() int { return len(f.adj) }
+
+// NumEdges returns the view's undirected edge count.
+func (f Frozen) NumEdges() int { return f.m }
+
+// HasEdge reports whether the undirected edge {u, v} is in the view, by
+// binary search of u's neighbor list.
+func (f Frozen) HasEdge(u, v int) bool { return hasEdge(f.adj, u, v) }
+
+// Graph copies the view's edge set into a new CSR graph the caller owns.
+func (f Frozen) Graph() *graph.Graph { return graph.FromSortedLists(f.adj) }
 
 // Apply applies one event, returning whether it changed the graph. It
 // inherits InsertEdge's and DeleteEdge's tolerance contracts: an event
@@ -229,6 +277,8 @@ func (mt *Maintainer) InsertEdge(u, v int) bool {
 	if mt.HasEdge(u, v) {
 		return false
 	}
+	mt.own(u, 1)
+	mt.own(v, 1)
 	insertSorted(&mt.adj[u], v)
 	insertSorted(&mt.adj[v], u)
 	mt.m++
@@ -336,6 +386,8 @@ func (mt *Maintainer) DeleteEdge(u, v int) bool {
 	if mt.core[v] < k {
 		k = mt.core[v]
 	}
+	mt.own(u, 0)
+	mt.own(v, 0)
 	removeSorted(&mt.adj[u], v)
 	removeSorted(&mt.adj[v], u)
 	mt.m--
@@ -419,6 +471,7 @@ func (mt *Maintainer) grow(n int) {
 		mt.adj = append(mt.adj, nil)
 		mt.core = append(mt.core, 0)
 		mt.supp = append(mt.supp, 0)
+		mt.owner = append(mt.owner, mt.gen)
 		mt.mark = append(mt.mark, 0)
 		mt.cand = append(mt.cand, 0)
 		mt.cnt = append(mt.cnt, 0)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -50,17 +51,8 @@ func completeGraph(n int) *graph.Graph {
 func TestSupportCounterInvariant(t *testing.T) {
 	check := func(mt *Maintainer, seed int64, step int) {
 		t.Helper()
-		for u := range mt.core {
-			c := 0
-			for _, v := range mt.adj[u] {
-				if mt.core[v] >= mt.core[u] {
-					c++
-				}
-			}
-			if mt.supp[u] != c {
-				t.Fatalf("seed %d step %d: supp[%d] = %d, want %d (core %d, deg %d)",
-					seed, step, u, mt.supp[u], c, mt.core[u], len(mt.adj[u]))
-			}
+		if err := supportMismatch(mt); err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
 		}
 	}
 
@@ -92,4 +84,23 @@ func TestSupportCounterInvariant(t *testing.T) {
 		mt.InsertEdge(0, i+1)
 		check(mt, -1, 100+i)
 	}
+}
+
+// supportMismatch recounts every node's support — neighbors with
+// coreness >= its own — and reports the first node whose maintained
+// counter disagrees, or nil.
+func supportMismatch(mt *Maintainer) error {
+	for u := range mt.core {
+		c := 0
+		for _, v := range mt.adj[u] {
+			if mt.core[v] >= mt.core[u] {
+				c++
+			}
+		}
+		if mt.supp[u] != c {
+			return fmt.Errorf("supp[%d] = %d, want %d (core %d, deg %d)",
+				u, mt.supp[u], c, mt.core[u], len(mt.adj[u]))
+		}
+	}
+	return nil
 }

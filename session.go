@@ -22,10 +22,11 @@ import (
 // drained by a single writer goroutine that absorbs them in batches
 // (coalescing an insert+delete of the same edge within a batch) and
 // publishes a fresh Epoch per batch. The blocking mutators (InsertEdge,
-// DeleteEdge, ApplyEvent) wait for their batch to be absorbed and return
-// the exact sequential result; Enqueue is the non-blocking alternative
-// that reports ErrQueueFull instead of waiting. Use CurrentEpoch when a
-// group of reads must be mutually consistent.
+// DeleteEdge, ApplyEvent, and ApplyEvents for a whole frame) wait for
+// their batch to be absorbed and return the exact sequential result;
+// Enqueue is the non-blocking alternative that reports ErrQueueFull
+// instead of waiting. Use CurrentEpoch when a group of reads must be
+// mutually consistent.
 //
 // A Session owns a goroutine; Close stops it. A closed Session keeps
 // serving reads from its last epoch and refuses mutations.
@@ -131,15 +132,16 @@ func (s *Session) Degeneracy() int { return s.cur.Load().degeneracy }
 func (s *Session) NumNodes() int { return s.cur.Load().NumNodes() }
 
 // NumEdges returns the current epoch's undirected edge count.
-func (s *Session) NumEdges() int { return s.cur.Load().numEdges }
+func (s *Session) NumEdges() int { return s.cur.Load().NumEdges() }
 
 // HasEdge reports whether the undirected edge {u, v} is present in the
 // current epoch.
 func (s *Session) HasEdge(u, v int) bool { return s.cur.Load().HasEdge(u, v) }
 
 // Snapshot materializes the current epoch's edge set as a Graph owned by
-// the caller: mutating it cannot affect the Session or other callers.
-func (s *Session) Snapshot() *Graph { return s.cur.Load().graph.Clone() }
+// the caller, copied once from the epoch's frozen adjacency: mutating it
+// cannot affect the Session or other callers.
+func (s *Session) Snapshot() *Graph { return s.cur.Load().adj.Graph() }
 
 // Stats returns a point-in-time snapshot of the session's serving
 // counters.
@@ -148,7 +150,7 @@ func (s *Session) Stats() SessionStats {
 	return SessionStats{
 		Epoch:      ep.seq,
 		NumNodes:   ep.NumNodes(),
-		NumEdges:   ep.numEdges,
+		NumEdges:   ep.NumEdges(),
 		Degeneracy: ep.degeneracy,
 		QueueDepth: len(s.queue),
 		Enqueued:   s.enqueued.Load(),
@@ -179,17 +181,54 @@ func (s *Session) DeleteEdge(u, v int) bool {
 // returns whether it changed the graph.
 func (s *Session) ApplyEvent(ev EdgeEvent) bool { return s.applyWait(ev) }
 
+// applyWait submits ev as a one-event frame; it has no deadline, and a
+// closed session reports false.
 func (s *Session) applyWait(ev stream.Event) bool {
-	done := make(chan bool, 1)
+	res, err := s.ApplyEvents(context.TODO(), []EdgeEvent{ev})
+	return err == nil && res[0]
+}
+
+// ApplyEvents applies a frame of edge events as one submission and
+// returns each event's result — exactly what ApplyEvent would return for
+// it, in order. It waits once for the whole frame: a frame of at most
+// MaxBatch events joins a single writer batch, so it is published in one
+// epoch (on an idle session, exactly one epoch for the frame); a larger
+// frame is split into MaxBatch-sized chunks. It returns ErrSessionClosed
+// after Close, or ctx.Err() if ctx ends first, in which case chunks
+// already queued are still applied but their results are not reported.
+func (s *Session) ApplyEvents(ctx context.Context, events []EdgeEvent) ([]bool, error) {
+	// The writer reads the frame after a cancelled caller has returned,
+	// so it gets a private copy.
+	evs := append([]stream.Event(nil), events...)
+	out := make([]bool, len(evs))
+	done := make(chan struct{}, (len(evs)+s.maxBatch-1)/s.maxBatch) // one send per chunk
 	s.sendMu.RLock()
 	if s.closed {
 		s.sendMu.RUnlock()
-		return false
+		return nil, ErrSessionClosed
 	}
-	s.enqueued.Add(1)
-	s.queue <- sessionOp{ev: ev, done: done}
+	chunks := 0
+	for lo := 0; lo < len(evs); lo += s.maxBatch {
+		hi := min(lo+s.maxBatch, len(evs))
+		s.enqueued.Add(int64(hi - lo))
+		select {
+		case s.queue <- sessionOp{evs: evs[lo:hi], out: out[lo:hi], done: done}:
+			chunks++
+		case <-ctx.Done():
+			s.enqueued.Add(-int64(hi - lo))
+			s.sendMu.RUnlock()
+			return nil, ctx.Err()
+		}
+	}
 	s.sendMu.RUnlock()
-	return <-done
+	for ; chunks > 0; chunks-- {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return out, nil
 }
 
 // Enqueue submits one edge event without waiting for absorption. It
@@ -218,7 +257,7 @@ func (s *Session) Enqueue(ev EdgeEvent) error {
 //
 //dkcore:noctx blocking is Flush's documented contract (drain barrier); bounded by writer progress
 func (s *Session) Flush() error {
-	done := make(chan bool, 1)
+	done := make(chan struct{}, 1)
 	s.sendMu.RLock()
 	if s.closed {
 		s.sendMu.RUnlock()

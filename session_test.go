@@ -2,6 +2,7 @@ package dkcore_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -172,5 +173,123 @@ func TestSessionConcurrentAccess(t *testing.T) {
 		if got[u] != want[u] {
 			t.Fatalf("after concurrent churn, node %d: coreness %d, want %d", u, got[u], want[u])
 		}
+	}
+}
+
+// replayResults applies events to a fresh Maintainer over g one by one
+// and returns each event's result: what ApplyEvent reports in sequence.
+func replayResults(g *dkcore.Graph, events []dkcore.EdgeEvent) []bool {
+	mt := dkcore.NewMaintainer(g)
+	out := make([]bool, len(events))
+	for i, ev := range events {
+		out[i] = mt.Apply(ev)
+	}
+	return out
+}
+
+// TestSessionApplyEventsFrame: a frame of at most MaxBatch events is one
+// submission, published as exactly one epoch on an idle session, with
+// every per-event result what a sequential replay returns — duplicate
+// inserts, an insert+delete flap, invalid events and node growth
+// included. A larger frame is split into MaxBatch-sized epochs with
+// results still exact.
+func TestSessionApplyEventsFrame(t *testing.T) {
+	ctx := context.Background()
+	g := dkcore.GenerateGNM(50, 120, 4)
+	var u, v int
+	for u, v = 0, 1; g.HasEdge(u, v); v++ {
+	}
+	frame := []dkcore.EdgeEvent{
+		{Op: dkcore.EdgeInsert, U: u, V: v},
+		{Op: dkcore.EdgeInsert, U: v, V: u}, // duplicate: not a change
+		{Op: dkcore.EdgeDelete, U: u, V: v},
+		{Op: dkcore.EdgeInsert, U: 3, V: 3},  // self-loop
+		{Op: dkcore.EdgeInsert, U: 2, V: 60}, // grows the node set
+		{Op: dkcore.EdgeDelete, U: 7, V: 61}, // absent
+	}
+	frame = append(frame, dkcore.GenerateChurnEvents(g, 10, 0.5, 9)...)
+	want := replayResults(g, frame)
+
+	sess, err := dkcore.NewSession(ctx, g, dkcore.MaxBatch(len(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before := sess.Stats()
+	got, err := sess.ApplyEvents(ctx, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d %+v: result %v, sequential replay %v", i, frame[i], got[i], want[i])
+		}
+	}
+	after := sess.Stats()
+	if d := after.Batches - before.Batches; d != 1 {
+		t.Fatalf("frame of %d events published %d epochs, want 1", len(frame), d)
+	}
+	if after.Applied-before.Applied != int64(len(frame)) || after.EpochLag() != 0 {
+		t.Fatalf("stats after frame: %+v", after)
+	}
+
+	// A frame over MaxBatch: chunked, results still exact.
+	small, err := dkcore.NewSession(ctx, g, dkcore.MaxBatch(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	got, err = small.ApplyEvents(ctx, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("chunked: event %d: result %v, sequential replay %v", i, got[i], want[i])
+		}
+	}
+	if b := small.Stats().Batches; b > int64((len(frame)+3)/4) {
+		t.Fatalf("chunked frame published %d epochs, more than its %d chunks", b, (len(frame)+3)/4)
+	}
+	if empty, err := small.ApplyEvents(ctx, nil); err != nil || len(empty) != 0 {
+		t.Fatalf("empty frame: %v, %v", empty, err)
+	}
+}
+
+// TestSessionApplyEventsCancelAndClose: a cancelled context either loses
+// the race to a ready queue (the frame applies, results exact) or
+// returns context.Canceled with the enqueued counter rolled back; a
+// closed session returns ErrSessionClosed.
+func TestSessionApplyEventsCancelAndClose(t *testing.T) {
+	g := dkcore.GenerateGNM(40, 100, 6)
+	sess, err := dkcore.NewSession(context.Background(), g, dkcore.MaxBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	frame := []dkcore.EdgeEvent{{U: 0, V: 39}, {Op: dkcore.EdgeDelete, U: 0, V: 39}, {U: 1, V: 38}}
+	for i := 0; i < 50; i++ {
+		got, err := sess.ApplyEvents(cancelled, frame)
+		switch {
+		case errors.Is(err, context.Canceled):
+		case err != nil:
+			t.Fatalf("cancelled frame: %v", err)
+		case len(got) != len(frame):
+			t.Fatalf("cancelled frame succeeded with %d results", len(got))
+		}
+	}
+	if err := sess.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.Stats(); st.Enqueued != st.Applied {
+		t.Fatalf("after Flush: enqueued %d, applied %d", st.Enqueued, st.Applied)
+	}
+	if err := dkcore.VerifyLocality(sess.Snapshot(), sess.CorenessValues()); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	if got, err := sess.ApplyEvents(context.Background(), frame); !errors.Is(err, dkcore.ErrSessionClosed) || got != nil {
+		t.Fatalf("ApplyEvents after Close: %v, %v; want ErrSessionClosed", got, err)
 	}
 }

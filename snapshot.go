@@ -10,6 +10,7 @@ package dkcore
 
 import (
 	"errors"
+	"sync"
 
 	"dkcore/internal/stream"
 )
@@ -32,23 +33,29 @@ var ErrSessionClosed = errors.New("dkcore: session closed")
 // observe later mutations — two queries against the same Epoch are
 // guaranteed mutually consistent, which a pair of Session-level queries
 // (two separate atomic loads) is not.
+//
+// The edge set is the maintainer's frozen adjacency, shared with it
+// copy-on-write, so publishing an epoch costs O(n) plus the lists the
+// batch touched rather than a rebuild of every edge; the CSR Graph is
+// built from it on first demand.
 type Epoch struct {
 	seq        uint64
 	coreness   []int
 	degeneracy int
-	numEdges   int
-	graph      *Graph
+	adj        stream.Frozen
+	graph      func() *Graph
 }
 
 // newEpoch freezes the maintainer's current state. Called only from the
 // session writer, after a batch is fully absorbed.
 func newEpoch(seq uint64, mt *stream.Maintainer) *Epoch {
+	adj := mt.Freeze()
 	return &Epoch{
 		seq:        seq,
 		coreness:   mt.CorenessValues(),
 		degeneracy: mt.MaxCoreness(),
-		numEdges:   mt.NumEdges(),
-		graph:      mt.Graph(),
+		adj:        adj,
+		graph:      sync.OnceValue(adj.Graph),
 	}
 }
 
@@ -94,17 +101,18 @@ func (e *Epoch) Degeneracy() int { return e.degeneracy }
 func (e *Epoch) NumNodes() int { return len(e.coreness) }
 
 // NumEdges returns the epoch's undirected edge count.
-func (e *Epoch) NumEdges() int { return e.numEdges }
+func (e *Epoch) NumEdges() int { return e.adj.NumEdges() }
 
 // HasEdge reports whether the undirected edge {u, v} is present in this
-// epoch.
-func (e *Epoch) HasEdge(u, v int) bool { return e.graph.HasEdge(u, v) }
+// epoch, by binary search of u's frozen neighbor list.
+func (e *Epoch) HasEdge(u, v int) bool { return e.adj.HasEdge(u, v) }
 
-// Graph returns the epoch's edge set as an immutable CSR graph. The
-// returned graph is shared by every caller of this method on the same
-// Epoch and must not be modified; use Session.Snapshot for a private
-// mutable-safe copy.
-func (e *Epoch) Graph() *Graph { return e.graph }
+// Graph returns the epoch's edge set as an immutable CSR graph, built
+// from the frozen adjacency on the first call (O(n+m), one copy, no
+// sort) and reused after. The returned graph is shared by every caller
+// of this method on the same Epoch and must not be modified; use
+// Session.Snapshot for a private mutable-safe copy.
+func (e *Epoch) Graph() *Graph { return e.graph() }
 
 // SessionStats is a point-in-time counter snapshot of a Session's
 // serving state, for monitoring and the /stats and /healthz endpoints
@@ -156,47 +164,78 @@ func QueueSize(n int) SessionOption {
 }
 
 // MaxBatch bounds how many queued mutations the writer absorbs into one
-// epoch (default 256). Larger batches amortize the O(n+m) epoch publish
-// over more mutations at the cost of coarser snapshot granularity.
+// epoch (default 256). Larger batches amortize the epoch publish — O(n)
+// for the coreness copy and list headers, plus a copy of each neighbor
+// list the batch touched — over more mutations at the cost of coarser
+// snapshot granularity. A frame of ApplyEvents is absorbed whole when
+// it holds at most MaxBatch events.
 func MaxBatch(n int) SessionOption {
 	return func(c *sessionConfig) { c.maxBatch = n }
 }
 
-// sessionOp is one entry of the mutation queue: an edge event, or a
-// flush sentinel that just wants to know every earlier op was absorbed.
+// sessionOp is one entry of the mutation queue: an enqueued edge event
+// (ev), one chunk of an ApplyEvents frame (evs, with per-event results
+// written to out), or a flush sentinel that just wants to know every
+// earlier op was absorbed.
 type sessionOp struct {
 	ev    stream.Event
+	evs   []stream.Event
+	out   []bool
 	flush bool
-	done  chan bool // non-nil: receives the op's result after publish
+	done  chan struct{} // non-nil: signalled once the op's batch is published
+}
+
+// size is what the op counts toward MaxBatch: its events, or one.
+func (op *sessionOp) size() int {
+	if op.evs != nil {
+		return len(op.evs)
+	}
+	return 1
 }
 
 // writer is the Session's single mutator goroutine: it drains the queue
-// in batches, absorbs each batch into the maintainer, publishes one
-// immutable Epoch per batch that changed the graph, and only then
-// reports each op's result. It exits when the queue is closed, after
+// in batches of at most MaxBatch events, absorbs each batch into the
+// maintainer, publishes one immutable Epoch per batch that changed the
+// graph, and only then signals each op's waiter. An op that would push
+// a batch past MaxBatch is held for the next batch, so a frame is never
+// split across epochs. It exits when the queue is closed, after
 // draining every remaining op.
 func (s *Session) writer(mt *stream.Maintainer) {
 	defer close(s.writerDone)
 	batch := make([]sessionOp, 0, s.maxBatch)
-	results := make([]bool, 0, s.maxBatch)
-	for op := range s.queue {
-		batch = append(batch[:0], op)
+	var next sessionOp
+	held := false // next was received but left for this batch
+	for {
+		if !held {
+			var ok bool
+			if next, ok = <-s.queue; !ok {
+				return
+			}
+		}
+		held = false
+		batch = append(batch[:0], next)
+		size := next.size()
 	drain:
-		for len(batch) < s.maxBatch {
+		for size < s.maxBatch {
 			select {
-			case next, ok := <-s.queue:
+			case op, ok := <-s.queue:
 				if !ok {
 					break drain
 				}
-				batch = append(batch, next)
+				if size+op.size() > s.maxBatch {
+					next, held = op, true
+					break drain
+				}
+				batch = append(batch, op)
+				size += op.size()
 			default:
 				break drain
 			}
 		}
-		results = s.absorb(mt, batch, results[:0])
-		for i, op := range batch {
+		s.absorb(mt, batch)
+		for _, op := range batch {
 			if op.done != nil {
-				op.done <- results[i]
+				op.done <- struct{}{}
 			}
 		}
 	}
@@ -219,50 +258,50 @@ type edgeState struct{ before, after bool }
 // state) exactly what a sequential replay of the batch would produce.
 // Edge sets of the two classes are disjoint (a key is literal iff an
 // endpoint is outside the frozen pre-batch node set), so the final state
-// is order-independent and matches the sequential result.
-func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp, results []bool) []bool {
+// is order-independent and matches the sequential result. A frame op's
+// per-event results go to its out slice.
+func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp) {
 	n0 := mt.NumNodes()
 	changed := false
 	applied := int64(0)
-	var pending map[edgeKey]edgeState
-	for _, op := range batch {
-		if op.flush {
-			results = append(results, true)
-			continue
-		}
+	pending := s.pending
+	clear(pending)
+	apply := func(ev stream.Event) bool {
 		applied++
-		u, v := op.ev.U, op.ev.V
+		u, v := ev.U, ev.V
 		if u < 0 || v < 0 || u == v {
-			results = append(results, false)
-			continue
+			return false
 		}
 		if u >= n0 || v >= n0 {
-			ok := mt.Apply(op.ev)
+			ok := mt.Apply(ev)
 			changed = changed || ok
-			results = append(results, ok)
-			continue
+			return ok
 		}
 		if u > v {
 			u, v = v, u
 		}
 		key := edgeKey{u, v}
-		if pending == nil {
-			pending = s.pending
-			clear(pending)
-		}
 		st, seen := pending[key]
 		if !seen {
 			p := mt.HasEdge(u, v)
 			st = edgeState{before: p, after: p}
 		}
-		if op.ev.Op == stream.OpDelete {
-			results = append(results, st.after)
-			st.after = false
-		} else {
-			results = append(results, !st.after)
-			st.after = true
-		}
+		// A delete succeeds on a present edge, an insert on an absent one.
+		ok := st.after == (ev.Op == stream.OpDelete)
+		st.after = ev.Op != stream.OpDelete
 		pending[key] = st
+		return ok
+	}
+	for _, op := range batch {
+		switch {
+		case op.flush:
+		case op.evs == nil:
+			apply(op.ev)
+		default:
+			for i, ev := range op.evs {
+				op.out[i] = apply(ev)
+			}
+		}
 	}
 	for key, st := range pending {
 		if st.after == st.before {
@@ -284,5 +323,4 @@ func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp, results []boo
 	// their effect is published, so a caller whose InsertEdge returned
 	// true immediately observes an epoch containing that edge.
 	s.applied.Add(applied)
-	return results
 }

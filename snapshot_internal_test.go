@@ -21,6 +21,11 @@ func absorbSession(mt *stream.Maintainer) *Session {
 	return s
 }
 
+// frameOp wraps events as one ApplyEvents chunk, with room for results.
+func frameOp(events ...stream.Event) sessionOp {
+	return sessionOp{evs: events, out: make([]bool, len(events))}
+}
+
 func TestAbsorbCoalescesWithExactResults(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
@@ -29,30 +34,34 @@ func TestAbsorbCoalescesWithExactResults(t *testing.T) {
 	mt := stream.NewMaintainer(b.Build())
 	s := absorbSession(mt)
 
-	ins := func(u, v int) sessionOp { return sessionOp{ev: stream.Event{Op: stream.OpInsert, U: u, V: v}} }
-	del := func(u, v int) sessionOp { return sessionOp{ev: stream.Event{Op: stream.OpDelete, U: u, V: v}} }
+	ins := func(u, v int) stream.Event { return stream.Event{Op: stream.OpInsert, U: u, V: v} }
+	del := func(u, v int) stream.Event { return stream.Event{Op: stream.OpDelete, U: u, V: v} }
 	batch := []sessionOp{
-		ins(0, 2),             // absent -> true, present
-		del(2, 0),             // present (normalized key) -> true, absent
-		ins(0, 2),             // absent again -> true: net insert survives
-		del(0, 1),             // base edge -> true: net delete
-		ins(0, 1),             // just deleted -> true: cancels to no net op
-		ins(0, 0),             // self-loop -> false
-		del(-1, 3),            // negative -> false
-		ins(9, 5),             // grows node set: literal path -> true
-		del(5, 9),             // literal path -> true; nodes must stay grown
-		{flush: true},         // sentinel -> true
-		del(3, 0),             // never present -> false
-		ins(1, 2), ins(12, 1), // duplicate of base edge -> false; grow -> true
+		frameOp(
+			ins(0, 2),  // absent -> true, present
+			del(2, 0),  // present (normalized key) -> true, absent
+			ins(0, 2),  // absent again -> true: net insert survives
+			del(0, 1),  // base edge -> true: net delete
+			ins(0, 1),  // just deleted -> true: cancels to no net op
+			ins(0, 0),  // self-loop -> false
+			del(-1, 3), // negative -> false
+			ins(9, 5),  // grows node set: literal path -> true
+			del(5, 9),  // literal path -> true; nodes must stay grown
+		),
+		{flush: true},
+		frameOp(
+			del(3, 0), // never present -> false
+			ins(1, 2), // duplicate of base edge -> false
+		),
+		{ev: ins(12, 1)}, // enqueued, no result: grows the node set
 	}
-	want := []bool{true, true, true, true, true, false, false, true, true, true, false, false, true}
-	got := s.absorb(mt, batch, nil)
-	if len(got) != len(want) {
-		t.Fatalf("%d results for %d ops", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("op %d: result %v, want %v", i, got[i], want[i])
+	want := [][]bool{{true, true, true, true, true, false, false, true, true}, nil, {false, false}, nil}
+	s.absorb(mt, batch)
+	for i, op := range batch {
+		for j := range want[i] {
+			if op.out[j] != want[i][j] {
+				t.Fatalf("op %d event %d: result %v, want %v", i, j, op.out[j], want[i][j])
+			}
 		}
 	}
 
@@ -89,17 +98,17 @@ func TestAbsorbNoChangeSkipsPublish(t *testing.T) {
 	mt := stream.NewMaintainer(b.Build())
 	s := absorbSession(mt)
 
-	batch := []sessionOp{
-		{ev: stream.Event{Op: stream.OpInsert, U: 0, V: 1}}, // duplicate
-		{ev: stream.Event{Op: stream.OpDelete, U: 1, V: 2}}, // absent
-		{ev: stream.Event{Op: stream.OpInsert, U: 0, V: 2}}, // insert...
-		{ev: stream.Event{Op: stream.OpDelete, U: 0, V: 2}}, // ...cancelled
-	}
+	op := frameOp(
+		stream.Event{Op: stream.OpInsert, U: 0, V: 1}, // duplicate
+		stream.Event{Op: stream.OpDelete, U: 1, V: 2}, // absent
+		stream.Event{Op: stream.OpInsert, U: 0, V: 2}, // insert...
+		stream.Event{Op: stream.OpDelete, U: 0, V: 2}, // ...cancelled
+	)
 	want := []bool{false, false, true, true}
-	got := s.absorb(mt, batch, nil)
+	s.absorb(mt, []sessionOp{op})
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("op %d: result %v, want %v", i, got[i], want[i])
+		if op.out[i] != want[i] {
+			t.Fatalf("event %d: result %v, want %v", i, op.out[i], want[i])
 		}
 	}
 	if seq := s.CurrentEpoch().Seq(); seq != 1 {

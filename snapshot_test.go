@@ -30,13 +30,21 @@ func cycleGraph(n int) *dkcore.Graph {
 	return b.Build()
 }
 
-// stateKey encodes a decomposition state (node count, edge count, full
-// coreness array) as a map key, so observed epochs can be matched
-// exactly against replayed prefix states with no hash-collision risk.
-func stateKey(numNodes, numEdges int, coreness []int) string {
-	buf := make([]byte, 0, 8*(len(coreness)+2))
-	buf = binary.AppendVarint(buf, int64(numNodes))
-	buf = binary.AppendVarint(buf, int64(numEdges))
+// stateKey encodes a decomposition state (node count, edge count, the
+// full edge set, the full coreness array) as a map key, so observed
+// epochs can be matched exactly against replayed prefix states with no
+// hash-collision risk. The edge set is part of the key because an
+// epoch's graph is built lazily: a key of counts and coreness alone
+// cannot tell a correct graph from one that picked up later edges.
+func stateKey(g *dkcore.Graph, coreness []int) string {
+	buf := make([]byte, 0, 8*(len(coreness)+2*g.NumEdges()+2))
+	buf = binary.AppendVarint(buf, int64(g.NumNodes()))
+	buf = binary.AppendVarint(buf, int64(g.NumEdges()))
+	g.Edges(func(u, v int) bool {
+		buf = binary.AppendVarint(buf, int64(u))
+		buf = binary.AppendVarint(buf, int64(v))
+		return true
+	})
 	for _, c := range coreness {
 		buf = binary.AppendVarint(buf, int64(c))
 	}
@@ -44,7 +52,11 @@ func stateKey(numNodes, numEdges int, coreness []int) string {
 }
 
 func epochKey(ep *dkcore.Epoch) string {
-	return stateKey(ep.NumNodes(), ep.NumEdges(), ep.CorenessValues())
+	return stateKey(ep.Graph(), ep.CorenessValues())
+}
+
+func maintainerKey(mt *dkcore.Maintainer) string {
+	return stateKey(mt.Graph(), mt.CorenessValues())
 }
 
 // prefixStates replays events sequentially through a Maintainer and
@@ -52,14 +64,33 @@ func epochKey(ep *dkcore.Epoch) string {
 // keyed by stateKey.
 func prefixStates(g *dkcore.Graph, events []dkcore.EdgeEvent) map[string]bool {
 	mt := dkcore.NewMaintainer(g)
-	states := map[string]bool{
-		stateKey(mt.NumNodes(), mt.NumEdges(), mt.CorenessValues()): true,
-	}
+	states := map[string]bool{maintainerKey(mt): true}
 	for _, ev := range events {
 		mt.Apply(ev)
-		states[stateKey(mt.NumNodes(), mt.NumEdges(), mt.CorenessValues())] = true
+		states[maintainerKey(mt)] = true
 	}
 	return states
+}
+
+// checkPrefixEpoch is the deferred half of the prefix rule, run on an
+// epoch a reader kept while later mutations landed: the epoch — its
+// lazily built graph included — must still be the state of some prefix,
+// HasEdge must agree with that graph on every edge an event mentions,
+// and its coreness must satisfy Theorem 1's locality on its own graph.
+func checkPrefixEpoch(t *testing.T, ep *dkcore.Epoch, prefixes map[string]bool, events []dkcore.EdgeEvent) {
+	t.Helper()
+	for _, ev := range events {
+		if got, want := ep.HasEdge(ev.U, ev.V), ep.Graph().HasEdge(ev.U, ev.V); got != want {
+			t.Errorf("epoch %d: HasEdge(%d, %d) = %v, its graph says %v", ep.Seq(), ev.U, ev.V, got, want)
+		}
+	}
+	if !prefixes[epochKey(ep)] {
+		t.Errorf("epoch %d state matches no prefix of the applied sequence", ep.Seq())
+	}
+	if err := dkcore.VerifyLocality(ep.Graph(), ep.CorenessValues()); err != nil {
+		t.Errorf("epoch %d: %v", ep.Seq(), err)
+	}
+	checkEpochInvariants(t, ep)
 }
 
 // checkEpochInvariants verifies the internal consistency every epoch
@@ -86,14 +117,18 @@ func checkEpochInvariants(t *testing.T, ep *dkcore.Epoch) {
 
 // TestSnapshotConsistencyPrefixRule is the snapshot-consistency checker:
 // one goroutine applies a known event sequence while concurrent readers
-// grab epochs; every observed epoch state must equal the exact
-// decomposition of some prefix of that sequence, and epoch sequence
-// numbers must be monotone per reader. Both ingest paths are covered —
-// the blocking mutators (every prefix is published) and the Enqueue path
-// (the writer batches and coalesces, so published states are batch
-// boundaries, still prefixes).
+// grab epochs; every observed epoch state — edge set included — must
+// equal the exact decomposition of some prefix of that sequence, and
+// epoch sequence numbers must be monotone per reader. Readers keep the
+// epochs they observe and read their edge sets only after at least two
+// newer epochs are out, so a lazily built graph that leaked later
+// mutations fails the prefix match. All ingest paths are covered — the
+// blocking mutators (every prefix is published), the Enqueue path (the
+// writer batches and coalesces, so published states are batch
+// boundaries, still prefixes) and ApplyEvents frames.
 func TestSnapshotConsistencyPrefixRule(t *testing.T) {
-	for _, mode := range []string{"blocking", "enqueue"} {
+	const frame = 7
+	for _, mode := range []string{"blocking", "enqueue", "frames"} {
 		t.Run(mode, func(t *testing.T) {
 			g := dkcore.GenerateBarabasiAlbert(150, 3, 17)
 			events := dkcore.GenerateChurnEvents(g, 500, 0.45, 29)
@@ -112,9 +147,13 @@ func TestSnapshotConsistencyPrefixRule(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					var lastSeq uint64
+					var kept []*dkcore.Epoch // observed, edge set not yet read
 					for {
 						select {
 						case <-stop:
+							for _, ep := range kept {
+								checkPrefixEpoch(t, ep, prefixes, events)
+							}
 							return
 						default:
 						}
@@ -123,20 +162,29 @@ func TestSnapshotConsistencyPrefixRule(t *testing.T) {
 							t.Errorf("epoch went backwards: %d after %d", ep.Seq(), lastSeq)
 							return
 						}
-						lastSeq = ep.Seq()
-						if !prefixes[epochKey(ep)] {
-							t.Errorf("epoch %d state matches no prefix of the applied sequence", ep.Seq())
-							return
+						if ep.Seq() > lastSeq {
+							kept = append(kept, ep)
 						}
-						checkEpochInvariants(t, ep)
+						lastSeq = ep.Seq()
+						for len(kept) > 0 && kept[0].Seq()+2 <= ep.Seq() {
+							checkPrefixEpoch(t, kept[0], prefixes, events)
+							kept = kept[1:]
+						}
 					}
 				}()
 			}
 
-			for _, ev := range events {
-				if mode == "blocking" {
+			for i, ev := range events {
+				switch mode {
+				case "blocking":
 					sess.ApplyEvent(ev)
-				} else {
+				case "frames":
+					if i%frame == 0 {
+						if _, err := sess.ApplyEvents(context.Background(), events[i:min(i+frame, len(events))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				default:
 					for {
 						err := sess.Enqueue(ev)
 						if err == nil {
@@ -160,7 +208,7 @@ func TestSnapshotConsistencyPrefixRule(t *testing.T) {
 			for _, ev := range events {
 				mt.Apply(ev)
 			}
-			if epochKey(final) != stateKey(mt.NumNodes(), mt.NumEdges(), mt.CorenessValues()) {
+			if epochKey(final) != maintainerKey(mt) {
 				t.Fatalf("final epoch state differs from sequential replay")
 			}
 		})
@@ -347,8 +395,7 @@ func TestSessionConcurrentMutatorsRace(t *testing.T) {
 			mt.Apply(ev)
 		}
 	}
-	if got, want := epochKey(sess.CurrentEpoch()),
-		stateKey(mt.NumNodes(), mt.NumEdges(), mt.CorenessValues()); got != want {
+	if got, want := epochKey(sess.CurrentEpoch()), maintainerKey(mt); got != want {
 		t.Fatalf("final session state differs from sequential replay")
 	}
 }
